@@ -18,6 +18,7 @@
 //! `--bench-json` file — the scaling-curve workflow PERF.md describes.
 
 use connreuse_experiments::atlas::{run_atlas, AtlasConfig, AtlasReport, BenchFile};
+use connreuse_experiments::cli::{options_or_exit, parse_value, write_or_exit};
 use connreuse_experiments::profile::{render_stage_table, ProfileFile};
 use std::path::PathBuf;
 
@@ -137,14 +138,6 @@ fn resolves_to_default_baseline(path: &std::path::Path) -> bool {
     }
 }
 
-fn parse_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    let value = args.next().ok_or_else(|| format!("{flag} requires a value"))?;
-    value.parse().map_err(|_| format!("invalid value for {flag}: {value}"))
-}
-
 fn print_usage() {
     println!("connreuse-atlas — crawl + classify a paper-scale population with bounded memory");
     println!();
@@ -173,14 +166,7 @@ fn print_usage() {
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+    let options = options_or_exit(parse_args(), print_usage);
     if options.help {
         print_usage();
         return;
@@ -245,16 +231,7 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                if let Err(error) = std::fs::create_dir_all(parent) {
-                    eprintln!("error: cannot create {}: {error}", parent.display());
-                    std::process::exit(1);
-                }
-            }
-            if let Err(error) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("error: cannot write {}: {error}", path.display());
-                std::process::exit(1);
-            }
+            write_or_exit(path, &format!("{json}\n"));
             eprintln!("stage profile written to {}", path.display());
         }
     }
@@ -262,16 +239,7 @@ fn main() {
     let text = report.render();
     println!("{text}");
     if let Some(path) = &options.out {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(error) = std::fs::create_dir_all(parent) {
-                eprintln!("error: cannot create {}: {error}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        if let Err(error) = std::fs::write(path, &text) {
-            eprintln!("error: cannot write {}: {error}", path.display());
-            std::process::exit(1);
-        }
+        write_or_exit(path, &text);
     }
     if let Some(path) = &options.bench_json {
         let file = BenchFile::new(records);
@@ -282,16 +250,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(error) = std::fs::create_dir_all(parent) {
-                eprintln!("error: cannot create {}: {error}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        if let Err(error) = std::fs::write(path, format!("{json}\n")) {
-            eprintln!("error: cannot write {}: {error}", path.display());
-            std::process::exit(1);
-        }
+        write_or_exit(path, &format!("{json}\n"));
         eprintln!("bench records written to {}", path.display());
     }
 }

@@ -12,6 +12,9 @@
 //! ```
 
 use connreuse_experiments::chaos::{run_chaos, ChaosConfig};
+use connreuse_experiments::cli::{
+    check_thread_invariance, options_or_exit, parse_check_threads, parse_value, write_or_exit,
+};
 use std::path::PathBuf;
 
 struct CliOptions {
@@ -38,17 +41,7 @@ fn parse_args() -> Result<CliOptions, String> {
                 config.sites = quick.sites;
                 config.sessions = quick.sessions;
             }
-            "--check-threads" => {
-                let value = args.next().ok_or("--check-threads requires a comma-separated list")?;
-                check_threads = value
-                    .split(',')
-                    .map(|part| part.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|_| format!("invalid value for --check-threads: {value}"))?;
-                if check_threads.len() < 2 {
-                    return Err("--check-threads needs at least two thread counts".to_string());
-                }
-            }
+            "--check-threads" => check_threads = parse_check_threads(&mut args)?,
             "--out" => {
                 let value = args.next().ok_or("--out requires a file path")?;
                 out = Some(PathBuf::from(value));
@@ -58,14 +51,6 @@ fn parse_args() -> Result<CliOptions, String> {
         }
     }
     Ok(CliOptions { config, out, check_threads, help })
-}
-
-fn parse_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    let value = args.next().ok_or_else(|| format!("{flag} requires a value"))?;
-    value.parse().map_err(|_| format!("invalid value for {flag}: {value}"))
 }
 
 fn print_usage() {
@@ -86,14 +71,7 @@ fn print_usage() {
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+    let options = options_or_exit(parse_args(), print_usage);
     if options.help {
         print_usage();
         return;
@@ -102,24 +80,10 @@ fn main() {
     // Determinism check: the same grid sharded over different thread counts
     // must render byte-identically (the shard-merge contract).
     if !options.check_threads.is_empty() {
-        let mut reference: Option<(usize, String)> = None;
-        for &threads in &options.check_threads {
-            let config = ChaosConfig { threads, ..options.config };
-            let start = std::time::Instant::now();
-            let text = run_chaos(&config).render();
-            eprintln!("threads={threads}: chaos done in {:.1}s", start.elapsed().as_secs_f64());
-            match &reference {
-                None => reference = Some((threads, text)),
-                Some((base, expected)) => {
-                    if *expected != text {
-                        eprintln!("error: report at --threads {threads} differs from --threads {base}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("threads={threads}: byte-identical to threads={base}");
-                }
-            }
-        }
-        println!("{}", reference.expect("at least two runs").1);
+        let text = check_thread_invariance("chaos", &options.check_threads, |threads| {
+            run_chaos(&ChaosConfig { threads, ..options.config }).render()
+        });
+        println!("{text}");
         return;
     }
 
@@ -134,15 +98,6 @@ fn main() {
     let text = report.render();
     println!("{text}");
     if let Some(path) = &options.out {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(error) = std::fs::create_dir_all(parent) {
-                eprintln!("error: cannot create {}: {error}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        if let Err(error) = std::fs::write(path, &text) {
-            eprintln!("error: cannot write {}: {error}", path.display());
-            std::process::exit(1);
-        }
+        write_or_exit(path, &text);
     }
 }

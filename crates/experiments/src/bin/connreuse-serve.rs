@@ -20,6 +20,7 @@
 //! mismatch is refused (exit 1) instead of serving numbers from a different
 //! experiment.
 
+use connreuse_experiments::cli::{options_or_exit, parse_value, write_or_exit};
 use connreuse_experiments::store::{
     answer_query, open_store, run_store, BuildReport, StoreConfig, StoreQuery, StoreRunReport,
 };
@@ -78,14 +79,6 @@ fn parse_args() -> Result<CliOptions, String> {
     Ok(CliOptions { config, store, build, serve, queries, out, help })
 }
 
-fn parse_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    let value = args.next().ok_or_else(|| format!("{flag} requires a value"))?;
-    value.parse().map_err(|_| format!("invalid value for {flag}: {value}"))
-}
-
 fn print_usage() {
     println!("connreuse-serve — persistent shard store + priced what-if queries");
     println!();
@@ -109,14 +102,7 @@ fn print_usage() {
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+    let options = options_or_exit(parse_args(), print_usage);
     if options.help {
         print_usage();
         return;
@@ -177,16 +163,7 @@ fn main() {
     let text = report.render();
     println!("{text}");
     if let Some(path) = &options.out {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(error) = std::fs::create_dir_all(parent) {
-                eprintln!("error: cannot create {}: {error}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        if let Err(error) = std::fs::write(path, &text) {
-            eprintln!("error: cannot write {}: {error}", path.display());
-            std::process::exit(1);
-        }
+        write_or_exit(path, &text);
     }
 
     if options.serve {

@@ -8,6 +8,7 @@
 //!     --sites 4000 --seed 7 --threads 8 --out results/sweep.txt
 //! ```
 
+use connreuse_experiments::cli::{options_or_exit, parse_value, write_or_exit};
 use connreuse_experiments::sweep::{run_sweep, SweepConfig};
 use std::path::PathBuf;
 
@@ -39,14 +40,6 @@ fn parse_args() -> Result<CliOptions, String> {
     Ok(CliOptions { config, out, help })
 }
 
-fn parse_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    let value = args.next().ok_or_else(|| format!("{flag} requires a value"))?;
-    value.parse().map_err(|_| format!("invalid value for {flag}: {value}"))
-}
-
 fn print_usage() {
     println!("connreuse-sweep — the 2^4 mitigation matrix over HTTP/2 connection-reuse fixes");
     println!();
@@ -63,14 +56,7 @@ fn print_usage() {
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+    let options = options_or_exit(parse_args(), print_usage);
     if options.help {
         print_usage();
         return;
@@ -87,15 +73,6 @@ fn main() {
     let text = report.render();
     println!("{text}");
     if let Some(path) = &options.out {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(error) = std::fs::create_dir_all(parent) {
-                eprintln!("error: cannot create {}: {error}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        if let Err(error) = std::fs::write(path, &text) {
-            eprintln!("error: cannot write {}: {error}", path.display());
-            std::process::exit(1);
-        }
+        write_or_exit(path, &text);
     }
 }

@@ -8,6 +8,7 @@
 //!
 //! Without arguments the binary lists the available experiments.
 
+use connreuse_experiments::cli::{options_or_exit, parse_value};
 use connreuse_experiments::{run_experiment, Scenario, ScenarioConfig, EXPERIMENTS};
 use std::path::PathBuf;
 
@@ -51,14 +52,6 @@ fn parse_args() -> Result<CliOptions, String> {
     Ok(CliOptions { experiments, config, out_dir })
 }
 
-fn parse_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    let value = args.next().ok_or_else(|| format!("{flag} requires a value"))?;
-    value.parse().map_err(|_| format!("invalid value for {flag}: {value}"))
-}
-
 fn print_usage() {
     println!("repro — regenerate the tables and figures of 'Sharding and HTTP/2 Connection Reuse Revisited'");
     println!();
@@ -79,14 +72,7 @@ fn print_usage() {
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+    let options = options_or_exit(parse_args(), print_usage);
     if options.experiments.is_empty() || options.experiments.iter().any(|e| e == "help") {
         print_usage();
         return;

@@ -26,37 +26,32 @@
 //!
 //! ## Sharding and determinism
 //!
-//! Mitigation combinations shard across worker threads exactly like the cost
-//! sweep's (one population build per combination, nine cells crawled from
-//! it). Every fault draw comes from a per-visit `fork("fault")` stream of
-//! the session RNGs, which fork off the global session index — never a
-//! worker id — so reports are byte-identical at any `--threads` value and
-//! the calm cells are *provably* fault-free (pinned in the golden). The
-//! navigation trace replays identically in all 145 cells: cells differ only
-//! in deployment, failure level, link and retry policy.
+//! The grid runs on the experiments' one cell engine: each mitigation
+//! combination is one task (one population build, nine cells driven from it
+//! by the shared session driver over a pooled scratch arena), the hedged
+//! cell is a seventeenth task, and all of them are scheduled on the
+//! work-stealing executor (`connreuse_executor::run_indexed`), whose
+//! results are index-addressed and flattened in task order — so the hedged
+//! cell always lands last. Every fault draw comes from a per-visit
+//! `fork("fault")` stream of the session RNGs, which fork off the global
+//! session index — never a worker id — so reports are byte-identical at any
+//! `--threads` value and the calm cells are *provably* fault-free (pinned
+//! in the golden). The navigation trace replays identically in all 145
+//! cells: cells differ only in deployment, failure level, link and retry
+//! policy.
 
-use crate::fleet::choose_site;
+use crate::engine::{alexa_population, drive_sessions, run_tasks, SessionTrace};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_POPULATION_SEED_OFFSET};
-use netsim_browser::{
-    Browser, BrowserConfig, FaultProfile, PoolConfig, PoolLifecycleStats, RetryPolicy, UserSession,
-    VisitScratch,
-};
+use crate::scenario::ScenarioConfig;
+use netsim_browser::{BrowserConfig, FaultProfile, PoolConfig, PoolLifecycleStats, RetryPolicy};
 use netsim_cost::{LinkProfile, SessionTotals};
-use netsim_types::{Duration, Instant, MitigationSet, SimClock, SimRng};
-use netsim_web::{PopulationBuilder, PopulationProfile, WebEnvironment};
+use netsim_types::MitigationSet;
 use serde::{Deserialize, Serialize};
 
 /// Seed offset of the chaos session streams (population uses
-/// [`ALEXA_POPULATION_SEED_OFFSET`]; crawl/fleet offsets stay clear).
+/// [`crate::scenario::ALEXA_POPULATION_SEED_OFFSET`]; crawl/fleet offsets
+/// stay clear).
 const CHAOS_SESSION_SEED_OFFSET: u64 = 50;
-
-/// Identifier spacing between sessions so connection/request ids never
-/// collide across a cell (mirrors the fleet's stride).
-const ID_STRIDE: u64 = 1_000_000;
-
-/// Simulated spacing between consecutive session start times.
-const SESSION_SPACING_SECS: u64 = 900;
 
 /// The failure levels: every fault process runs at the same ppm rate.
 /// `calm` doubles as the 0-ppm control — its cells must count zero faults,
@@ -138,152 +133,57 @@ pub struct ChaosReport {
 }
 
 /// Run the chaos grid: every mitigation combination builds its population
-/// once and crawls the nine (level × profile) cells from it, sharded across
-/// `config.threads` worker threads; the hedged cell runs last.
+/// once and crawls the nine (level × profile) cells from it; the hedged
+/// cell is one more task after the 16 combinations, so it lands last. All
+/// 17 tasks are scheduled over `config.threads` work-stealing workers.
 pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let profiles = LinkProfile::presets();
     let combos = MitigationSet::all_combinations();
-    let mut rows: Vec<Option<Vec<ChaosCell>>> = Vec::new();
-    rows.resize_with(combos.len(), || None);
-
-    let threads = config.threads.clamp(1, combos.len());
-    if threads <= 1 {
-        for (row, combo) in rows.iter_mut().zip(&combos) {
-            *row = Some(run_combo(config, *combo, &profiles));
-        }
-    } else {
-        let chunk = combos.len().div_ceil(threads);
-        let profiles = &profiles;
-        std::thread::scope(|scope| {
-            for (slot, shard) in rows.chunks_mut(chunk).zip(combos.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (row, combo) in slot.iter_mut().zip(shard) {
-                        *row = Some(run_combo(config, *combo, profiles));
-                    }
-                });
-            }
-        });
-    }
-
-    let mut cells: Vec<ChaosCell> =
-        rows.into_iter().flat_map(|row| row.expect("every combination ran")).collect();
-    cells.push(run_hedged_cell(config, &profiles));
-    ChaosReport { config: *config, profiles, cells }
-}
-
-/// Crawl one mitigation combination's nine cells (level-major,
-/// profile-minor) from a single population build.
-fn run_combo(config: &ChaosConfig, mitigations: MitigationSet, profiles: &[LinkProfile]) -> Vec<ChaosCell> {
-    // One combination is the chaos grid's chunk: a scaffold-stage envelope
-    // around every session page of its nine cells, flushed to the
-    // process-wide profile table before the worker moves on.
-    let combo_guard = netsim_types::profile::enter(netsim_types::profile::Stage::ChunkLoop);
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .with_mitigations(mitigations)
-    .build();
-
-    let mut cells = Vec::with_capacity(FAULT_LEVELS.len() * profiles.len());
-    for (level, (_, ppm)) in FAULT_LEVELS.iter().enumerate() {
-        for (profile_index, profile) in profiles.iter().enumerate() {
+    let trace = SessionTrace {
+        root_seed: config.seed,
+        seed_offset: CHAOS_SESSION_SEED_OFFSET,
+        sessions: config.sessions,
+        nav_label: "chaos-nav",
+        visit_label: "chaos-visit",
+    };
+    let rows = run_tasks(config.threads, combos.len() + 1, |worker, index| {
+        // The last task is the hedged-dial cell: the unmitigated web at the
+        // hostile level on lossy cellular, dialing redundantly instead of
+        // backing off.
+        let hedged = index == combos.len();
+        let mitigations = if hedged { MitigationSet::empty() } else { combos[index] };
+        let env = alexa_population(config.sites, config.seed, mitigations);
+        let mut cell = |level: usize, profile: usize| {
             let browser_config = BrowserConfig {
-                faults: FaultProfile::uniform(*ppm),
-                ..BrowserConfig::with_mitigations(mitigations).over_link(profile)
+                faults: FaultProfile::uniform(FAULT_LEVELS[level].1),
+                retry: RetryPolicy { hedged_dials: hedged, ..RetryPolicy::default() },
+                ..BrowserConfig::with_mitigations(mitigations).over_link(&profiles[profile])
             };
-            let (totals, lifecycle, degraded_pages) = run_sessions(config, &env, &browser_config);
-            cells.push(ChaosCell {
+            let record =
+                drive_sessions(worker.scratch(), &env, &browser_config, &trace, Some(PoolConfig::default()));
+            ChaosCell {
                 mitigations,
                 level,
-                profile: profile_index,
-                hedged: false,
-                totals,
-                lifecycle,
-                degraded_pages,
-            });
-        }
-    }
-    drop(combo_guard);
-    netsim_types::profile::flush_local();
-    cells
-}
-
-/// The hedged-dial cell: the unmitigated web at the hostile level on lossy
-/// cellular, dialing redundantly instead of backing off.
-fn run_hedged_cell(config: &ChaosConfig, profiles: &[LinkProfile]) -> ChaosCell {
-    let cell_guard = netsim_types::profile::enter(netsim_types::profile::Stage::ChunkLoop);
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .build();
-    let level = FAULT_LEVELS.len() - 1;
-    let profile_index = profiles.len() - 1;
-    let browser_config = BrowserConfig {
-        faults: FaultProfile::uniform(FAULT_LEVELS[level].1),
-        retry: RetryPolicy { hedged_dials: true, ..RetryPolicy::default() },
-        ..BrowserConfig::with_mitigations(MitigationSet::empty()).over_link(&profiles[profile_index])
-    };
-    let (totals, lifecycle, degraded_pages) = run_sessions(config, &env, &browser_config);
-    drop(cell_guard);
-    netsim_types::profile::flush_local();
-    ChaosCell {
-        mitigations: MitigationSet::empty(),
-        level,
-        profile: profile_index,
-        hedged: true,
-        totals,
-        lifecycle,
-        degraded_pages,
-    }
-}
-
-/// Drive `config.sessions` warm multi-page sessions under `browser_config`.
-/// The navigation trace (sites, page counts, dwells, simulated instants) is
-/// identical in every cell; only the fault stream's consequences differ.
-fn run_sessions(
-    config: &ChaosConfig,
-    env: &WebEnvironment,
-    browser_config: &BrowserConfig,
-) -> (SessionTotals, PoolLifecycleStats, u64) {
-    let mut scratch = VisitScratch::without_netlog();
-    let mut totals = SessionTotals::new();
-    let mut session = UserSession::new(PoolConfig::default());
-    let mut visited: Vec<usize> = Vec::new();
-    let mut degraded_pages = 0u64;
-
-    for session_index in 0..config.sessions as u64 {
-        let mut nav_rng =
-            SimRng::new(config.seed + CHAOS_SESSION_SEED_OFFSET).fork_indexed("chaos-nav", session_index);
-        let visit_streams =
-            SimRng::new(config.seed + CHAOS_SESSION_SEED_OFFSET).fork_indexed("chaos-visit", session_index);
-        let mut clock =
-            SimClock::starting_at(Instant::EPOCH + Duration::from_secs(SESSION_SPACING_SECS * session_index));
-        let mut browser = Browser::with_id_base(browser_config.clone(), session_index * ID_STRIDE);
-        visited.clear();
-
-        let pages = nav_rng.in_range(2..=7usize);
-        for page in 0..pages as u64 {
-            let site_index = choose_site(&mut nav_rng, &visited, config.sites);
-            visited.push(site_index);
-            let mut page_rng = visit_streams.fork_indexed("page", page);
-            let site = &env.sites[site_index];
-            browser.load_session_page_into(&mut scratch, &mut session, env, site, &mut clock, &mut page_rng);
-            totals.absorb_page(scratch.timeline());
-            if !scratch.outcome().is_complete() {
-                degraded_pages += 1;
+                profile,
+                hedged,
+                totals: record.totals,
+                lifecycle: record.lifecycle,
+                degraded_pages: record.degraded_pages,
             }
-            let dwell = nav_rng.in_range(5..=120u64);
-            clock.advance(Duration::from_secs(dwell));
+        };
+        if hedged {
+            return vec![cell(FAULT_LEVELS.len() - 1, profiles.len() - 1)];
         }
-        session.end(&mut scratch, clock.now());
-        totals.end_session();
-    }
-
-    (totals, session.take_stats(), degraded_pages)
+        // Level-major, profile-minor: the layout `ChaosReport::cell` indexes.
+        let mut cells = Vec::with_capacity(FAULT_LEVELS.len() * profiles.len());
+        for level in 0..FAULT_LEVELS.len() {
+            for profile in 0..profiles.len() {
+                cells.push(cell(level, profile));
+            }
+        }
+        cells
+    });
+    ChaosReport { config: *config, profiles, cells: rows.results.into_iter().flatten().collect() }
 }
 
 impl ChaosReport {

@@ -24,23 +24,23 @@
 //!
 //! ## Sharding and determinism
 //!
-//! Mitigation cells are independent; the 16 of them are sharded across
-//! worker threads exactly like the sweep's. One population is generated per
-//! cell and crawled under all three profiles (the population depends only on
-//! the mitigation deployment, never on the link). Every stochastic choice
-//! flows from RNG streams forked off the root seed by stable labels, so
-//! `threads = 1` and `threads = 8` render byte-identical reports (asserted
-//! in `tests/determinism.rs`). Costs are integer counts plus integer
-//! simulated milliseconds — nothing machine-dependent enters the report.
+//! Every cell runs the experiments' one cold fold (visit → classify → fold
+//! through a pooled scratch arena). The 16 mitigation combinations are
+//! tasks on the work-stealing executor (`connreuse_executor::run_indexed`):
+//! each combination generates its population once and crawls it under all
+//! three profiles (the population depends only on the deployment, never on
+//! the link). Results are index-addressed and flattened in combination
+//! order, and every stochastic choice flows from RNG streams forked off the
+//! root seed by stable labels, so `threads = 1` and `threads = 8` render
+//! byte-identical reports (asserted in `tests/determinism.rs`). Costs are
+//! integer counts plus integer simulated milliseconds — nothing
+//! machine-dependent enters the report.
 
-use crate::atlas::classify_scratch;
+use crate::engine::{alexa_population, priced_crawler, run_tasks};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
-use connreuse_core::{classify_site, site_from_visit, Accumulator, DurationModel, FastVisitClassifier};
-use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
+use crate::scenario::ScenarioConfig;
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_types::MitigationSet;
-use netsim_web::{PopulationBuilder, PopulationProfile};
 use serde::{Deserialize, Serialize};
 
 /// Sizing and seeding of one cost sweep.
@@ -105,88 +105,34 @@ pub struct CostReport {
 }
 
 /// Run the cost sweep: every mitigation combination crawled under every
-/// link profile, sharded across `config.threads` worker threads.
+/// link profile, the 16 combinations scheduled over `config.threads`
+/// work-stealing workers.
 pub fn run_cost(config: &CostConfig) -> CostReport {
     let profiles = LinkProfile::presets();
     let combos = MitigationSet::all_combinations();
-    let mut rows: Vec<Option<Vec<CostCell>>> = Vec::new();
-    rows.resize_with(combos.len(), || None);
-
-    let threads = config.threads.clamp(1, combos.len());
-    if threads <= 1 {
-        for (row, combo) in rows.iter_mut().zip(&combos) {
-            *row = Some(run_cell(config, *combo, &profiles));
-        }
-    } else {
-        let chunk = combos.len().div_ceil(threads);
-        let profiles = &profiles;
-        std::thread::scope(|scope| {
-            for (slot, shard) in rows.chunks_mut(chunk).zip(combos.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (row, combo) in slot.iter_mut().zip(shard) {
-                        *row = Some(run_cell(config, *combo, profiles));
-                    }
-                });
-            }
-        });
-    }
-
-    CostReport {
-        config: *config,
-        profiles,
-        cells: rows.into_iter().flat_map(|row| row.expect("every cell ran")).collect(),
-    }
-}
-
-/// Measure one mitigation cell under every profile: the population is built
-/// once (it depends on the deployment, not the link) and crawled per
-/// profile through the zero-allocation scratch, folding each visit's
-/// timeline and streamed classification as it completes.
-fn run_cell(config: &CostConfig, mitigations: MitigationSet, profiles: &[LinkProfile]) -> Vec<CostCell> {
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .with_mitigations(mitigations)
-    .build();
-    let planned_octets = env.total_planned_octets();
-    let label = mitigations.label();
-
-    let mut scratch = VisitScratch::without_netlog();
-    let mut classifier = FastVisitClassifier::new();
-    profiles
-        .iter()
-        .enumerate()
-        .map(|(profile_index, profile)| {
-            let crawler = Crawler::new(
-                &label,
-                BrowserConfig::with_mitigations(mitigations).over_link(profile),
-                config.seed + ALEXA_CRAWL_SEED_OFFSET,
-            );
-            let mut totals = CostTotals::new();
-            let mut accumulator = Accumulator::new();
-            for index in 0..env.sites.len() {
-                let times = crawler.visit_site_into(&mut scratch, &env, index);
-                totals.absorb_visit(scratch.timeline());
-                if scratch.all_ok() {
-                    let counts = classify_scratch(&mut classifier, &scratch, DurationModel::Recorded);
-                    accumulator.observe_counts(&counts);
-                } else {
-                    // HTTP 421 exclusions: fall back to the full pipeline.
-                    let visit = scratch.to_page_visit(&env.sites[index], times);
-                    accumulator.observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
+    let rows = run_tasks(config.threads, combos.len(), |worker, index| {
+        // One population per combination (it depends on the deployment, not
+        // the link), crawled per profile through the engine's cold fold.
+        let mitigations = combos[index];
+        let env = alexa_population(config.sites, config.seed, mitigations);
+        let planned_octets = env.total_planned_octets();
+        let label = mitigations.label();
+        profiles
+            .iter()
+            .enumerate()
+            .map(|(profile_index, profile)| {
+                let record = worker.fold(&priced_crawler(config.seed, mitigations, profile), &env);
+                CostCell {
+                    mitigations,
+                    profile: profile_index,
+                    totals: record.cost,
+                    redundant_connections: record.accumulator.finish(&label).redundant.connections,
+                    planned_octets,
                 }
-            }
-            CostCell {
-                mitigations,
-                profile: profile_index,
-                totals,
-                redundant_connections: accumulator.finish(&label).redundant.connections,
-                planned_octets,
-            }
-        })
-        .collect()
+            })
+            .collect::<Vec<_>>()
+    });
+    CostReport { config: *config, profiles, cells: rows.results.into_iter().flatten().collect() }
 }
 
 impl CostReport {

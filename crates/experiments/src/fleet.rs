@@ -25,37 +25,32 @@
 //!
 //! ## Sharding and determinism
 //!
-//! Cells are independent and shard across worker threads exactly like the
-//! cost sweep's. Within a cell, every stochastic choice forks off the global
-//! *session* index (`fork_indexed("fleet-nav", session)` for the navigation
-//! trace, `fork_indexed("fleet-visit", session)` for in-visit lifetime
-//! draws), never off a worker id — rule 1 of the determinism contract — and
-//! the navigation RNG is consumed identically in every cell, so all 29 cells
-//! replay the *same pages at the same simulated instants* and differ only in
-//! deployment and pool policy. Reports are byte-identical at any `--threads`
+//! Cells are independent tasks of the experiments' one cell engine: each
+//! runs the shared session driver over a pooled scratch arena, and the 29 of
+//! them are scheduled on the work-stealing executor
+//! (`connreuse_executor::run_indexed`), whose results are index-addressed in
+//! plan order whichever worker ran them. Within a cell, every stochastic
+//! choice forks off the global *session* index
+//! (`fork_indexed("fleet-nav", session)` for the navigation trace,
+//! `fork_indexed("fleet-visit", session)` for in-visit lifetime draws),
+//! never off a worker id — rule 1 of the determinism contract — and the
+//! navigation RNG is consumed identically in every cell, so all 29 cells
+//! replay the *same pages at the same simulated instants* and differ only
+//! in deployment and pool policy. Reports are byte-identical at any `--threads`
 //! value (asserted in `tests/determinism.rs`).
 
+use crate::engine::{alexa_population, drive_sessions, run_tasks, SessionTrace};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_POPULATION_SEED_OFFSET};
-use netsim_browser::{Browser, BrowserConfig, PoolConfig, PoolLifecycleStats, UserSession, VisitScratch};
+use crate::scenario::ScenarioConfig;
+use netsim_browser::{BrowserConfig, PoolConfig, PoolLifecycleStats};
 use netsim_cost::SessionTotals;
-use netsim_types::{Duration, Instant, MitigationSet, SimClock, SimRng};
-use netsim_web::{PopulationBuilder, PopulationProfile};
+use netsim_types::{Duration, MitigationSet};
 use serde::{Deserialize, Serialize};
 
 /// Seed offset of the fleet's session streams (population uses
-/// [`ALEXA_POPULATION_SEED_OFFSET`]; crawl offsets stay clear of both).
+/// [`crate::scenario::ALEXA_POPULATION_SEED_OFFSET`]; crawl offsets stay
+/// clear of both).
 const FLEET_SESSION_SEED_OFFSET: u64 = 40;
-
-/// Identifier spacing between sessions so connection/request ids never
-/// collide across a cell (mirrors the crawler's per-site stride).
-const ID_STRIDE: u64 = 1_000_000;
-
-/// Simulated spacing between consecutive session start times.
-const SESSION_SPACING_SECS: u64 = 900;
-
-/// Probability that a navigation revisits a page already seen this session.
-const REVISIT_PROBABILITY: f64 = 0.4;
 
 /// Pool capacities the policy sweep explores.
 const POOL_SIZES: [usize; 4] = [2, 4, 8, 16];
@@ -146,118 +141,28 @@ fn cell_plans() -> Vec<(MitigationSet, Option<PoolConfig>)> {
     plans
 }
 
-/// Run the fleet: every cell replays the same session trace, sharded across
-/// `config.threads` worker threads.
+/// Run the fleet: every cell replays the same session trace, the cells
+/// scheduled over `config.threads` work-stealing workers. Each cell drives
+/// `config.sessions` multi-page sessions over the deployment's population,
+/// warm through a `UserSession` or cold through the per-visit path when its
+/// pool is `None`.
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     let plans = cell_plans();
-    let mut rows: Vec<Option<FleetCell>> = Vec::new();
-    rows.resize_with(plans.len(), || None);
-
-    let threads = config.threads.clamp(1, plans.len());
-    if threads <= 1 {
-        for (row, plan) in rows.iter_mut().zip(&plans) {
-            *row = Some(run_cell(config, plan.0, plan.1));
-        }
-    } else {
-        let chunk = plans.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (slot, shard) in rows.chunks_mut(chunk).zip(plans.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (row, plan) in slot.iter_mut().zip(shard) {
-                        *row = Some(run_cell(config, plan.0, plan.1));
-                    }
-                });
-            }
-        });
-    }
-
-    FleetReport { config: *config, cells: rows.into_iter().map(|row| row.expect("every cell ran")).collect() }
-}
-
-/// Pick the next page of a session: revisit a page already seen with
-/// probability [`REVISIT_PROBABILITY`], otherwise navigate somewhere new.
-/// Consumes the same RNG draws in every cell (the trace is cell-invariant;
-/// the chaos grid shares this navigation model).
-pub(crate) fn choose_site(rng: &mut SimRng, visited: &[usize], sites: usize) -> usize {
-    if !visited.is_empty() && rng.chance(REVISIT_PROBABILITY) {
-        *rng.pick(visited).expect("visited is non-empty")
-    } else {
-        rng.in_range(0..sites)
-    }
-}
-
-/// Run one cell: `config.sessions` multi-page sessions over the deployment's
-/// population, warm through a [`UserSession`] or cold through the per-visit
-/// path when `pool` is `None`.
-fn run_cell(config: &FleetConfig, mitigations: MitigationSet, pool: Option<PoolConfig>) -> FleetCell {
-    // One fleet cell is the fleet's chunk: a scaffold-stage envelope around
-    // every session page it replays, flushed to the process-wide profile
-    // table before the worker thread moves on (or dies with the scope).
-    let cell_guard = netsim_types::profile::enter(netsim_types::profile::Stage::ChunkLoop);
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .with_mitigations(mitigations)
-    .build();
-    let browser_config = BrowserConfig::with_mitigations(mitigations);
-
-    let mut scratch = VisitScratch::without_netlog();
-    let mut totals = SessionTotals::new();
-    let mut lifecycle = PoolLifecycleStats::default();
-    let mut session_state = pool.map(UserSession::new);
-    let mut visited: Vec<usize> = Vec::new();
-
-    for session_index in 0..config.sessions as u64 {
-        let mut nav_rng =
-            SimRng::new(config.seed + FLEET_SESSION_SEED_OFFSET).fork_indexed("fleet-nav", session_index);
-        let visit_streams =
-            SimRng::new(config.seed + FLEET_SESSION_SEED_OFFSET).fork_indexed("fleet-visit", session_index);
-        let mut clock =
-            SimClock::starting_at(Instant::EPOCH + Duration::from_secs(SESSION_SPACING_SECS * session_index));
-        let mut browser = Browser::with_id_base(browser_config.clone(), session_index * ID_STRIDE);
-        visited.clear();
-
-        let pages = nav_rng.in_range(2..=7usize);
-        for page in 0..pages as u64 {
-            let site_index = choose_site(&mut nav_rng, &visited, config.sites);
-            visited.push(site_index);
-            let mut page_rng = visit_streams.fork_indexed("page", page);
-            let site = &env.sites[site_index];
-            match session_state.as_mut() {
-                Some(session) => {
-                    browser.load_session_page_into(
-                        &mut scratch,
-                        session,
-                        &env,
-                        site,
-                        &mut clock,
-                        &mut page_rng,
-                    );
-                }
-                None => {
-                    browser.load_page_into(&mut scratch, &env, site, &mut clock, &mut page_rng);
-                }
-            }
-            totals.absorb_page(scratch.timeline());
-            // Dwell before the next navigation (drawn even after the last
-            // page so the trace stays cell-invariant).
-            let dwell = nav_rng.in_range(5..=120u64);
-            clock.advance(Duration::from_secs(dwell));
-        }
-        if let Some(session) = session_state.as_mut() {
-            session.end(&mut scratch, clock.now());
-        }
-        totals.end_session();
-    }
-
-    if let Some(session) = session_state.as_mut() {
-        lifecycle.merge(&session.take_stats());
-    }
-    drop(cell_guard);
-    netsim_types::profile::flush_local();
-    FleetCell { mitigations, pool, totals, lifecycle }
+    let trace = SessionTrace {
+        root_seed: config.seed,
+        seed_offset: FLEET_SESSION_SEED_OFFSET,
+        sessions: config.sessions,
+        nav_label: "fleet-nav",
+        visit_label: "fleet-visit",
+    };
+    let cells = run_tasks(config.threads, plans.len(), |worker, index| {
+        let (mitigations, pool) = plans[index];
+        let env = alexa_population(config.sites, config.seed, mitigations);
+        let browser_config = BrowserConfig::with_mitigations(mitigations);
+        let record = drive_sessions(worker.scratch(), &env, &browser_config, &trace, pool);
+        FleetCell { mitigations, pool, totals: record.totals, lifecycle: record.lifecycle }
+    });
+    FleetReport { config: *config, cells: cells.results }
 }
 
 impl FleetReport {

@@ -28,12 +28,14 @@
 //! | `fleet`    | multi-page user sessions over a first-class connection-pool lifecycle (warm vs. cold redundancy tax) |
 //! | `chaos`    | deterministic fault injection over the warm session trace (failure levels × deployments × links, plus hedged dials) |
 //!
-//! The [`atlas`] module is the scale engine: it fans fixed site chunks over
-//! the work-stealing executor (`connreuse_executor`), one pooled
-//! [`VisitScratch`] arena per worker, and merges per-chunk
-//! `Accumulator`/`CostTotals` shards in chunk order — so the rendered
-//! report is byte-identical at any `--threads` value (see
-//! `ARCHITECTURE.md` for the determinism contract).
+//! Every experiment runs on one internal cell engine: a single
+//! visit → classify → fold loop, a single session driver, and the
+//! work-stealing executor (`connreuse_executor`) as the one scheduler, with
+//! one pooled [`VisitScratch`] arena per worker. Results are index-addressed
+//! and merged in task order — so every rendered report is byte-identical at
+//! any `--threads` value (see `ARCHITECTURE.md` for the determinism
+//! contract). The [`atlas`] module drives it at scale, over fixed site
+//! chunks.
 //!
 //! Run everything with `cargo run -p connreuse-experiments --bin repro --release -- all`,
 //! just the mitigation matrix with
@@ -49,7 +51,9 @@
 
 pub mod atlas;
 pub mod chaos;
+pub mod cli;
 pub mod cost;
+mod engine;
 pub mod fleet;
 pub mod paper;
 pub mod profile;

@@ -39,21 +39,19 @@
 //! buffering unboundedly. Query answering reads shards through the same
 //! bounded stream, merging on the caller thread as chunks arrive.
 
-use crate::atlas::classify_scratch;
-use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
-use connreuse_core::{
-    classify_site, site_from_visit, Accumulator, DatasetSummary, DurationModel, FastVisitClassifier,
+use crate::engine::{
+    atlas_population, chunk_ranges, priced_crawler, run_tasks, stream_tasks, ColdRecord, ColdWorker,
 };
+use crate::render::{format_count, format_percent, TextTable};
+use crate::scenario::ScenarioConfig;
+use connreuse_core::DatasetSummary;
 use connreuse_executor::run_indexed_streaming;
-use netsim_browser::{BrowserConfig, Crawler, PooledScratch, ScratchPool};
 use netsim_cost::{CostTotals, LinkProfile};
 use netsim_store::{
-    finalize_manifest, write_shard, BuildPlan, ShardFile, ShardRecord, ShardStore, StoreError, StoreLayout,
+    finalize_manifest, write_shard, BuildPlan, ShardFile, ShardStore, StoreError, StoreLayout,
 };
-use netsim_types::profile::Stage;
 use netsim_types::{Fingerprint, FingerprintBuilder, Mitigation, MitigationSet};
-use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile};
+use netsim_web::DeploymentCache;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -146,13 +144,7 @@ impl StoreConfig {
 
     /// The chunk ranges `[start, start + len)` covering the population.
     pub fn chunks(&self) -> Vec<(usize, usize)> {
-        let chunk = self.chunk_sites.max(1);
-        (0..self.sites.div_ceil(chunk))
-            .map(|i| {
-                let start = i * chunk;
-                (start, chunk.min(self.sites - start))
-            })
-            .collect()
+        chunk_ranges(self.sites, self.chunk_sites)
     }
 
     /// The `(mitigation_bits, profile_index)` record keys every shard
@@ -245,9 +237,9 @@ impl StoreQuery {
     /// ```
     ///
     /// Errors are user-facing strings (the serve bin maps them to exit
-    /// status 2): unknown keys, deployments the store does not price, and
-    /// rank bounds that do not land on chunk boundaries are all refused
-    /// with the valid alternatives spelled out.
+    /// status 2): unknown or repeated keys, deployments the store does not
+    /// price, and rank bounds that do not land on chunk boundaries are all
+    /// refused with the valid alternatives spelled out.
     pub fn parse(text: &str, config: &StoreConfig) -> Result<StoreQuery, String> {
         let mut mitigations = None;
         let mut profile = None;
@@ -256,9 +248,9 @@ impl StoreQuery {
             let (key, value) =
                 token.split_once('=').ok_or_else(|| format!("token '{token}' is not key=value"))?;
             match key {
-                "mitigations" => mitigations = Some(parse_mitigations(value, config)?),
-                "profile" => profile = Some(parse_profile(value, config)?),
-                "ranks" => ranks = Some(parse_ranks(value, config)?),
+                "mitigations" => set_once(&mut mitigations, key, || parse_mitigations(value, config))?,
+                "profile" => set_once(&mut profile, key, || parse_profile(value, config))?,
+                "ranks" => set_once(&mut ranks, key, || parse_ranks(value, config))?,
                 other => {
                     return Err(format!("unknown key '{other}' (expected mitigations=, profile=, ranks=)"))
                 }
@@ -279,6 +271,20 @@ impl StoreQuery {
             self.hi
         )
     }
+}
+
+/// Fill one query slot, refusing a key that already filled it (a repeated
+/// key is ambiguous, never last-wins).
+fn set_once<T>(
+    slot: &mut Option<T>,
+    key: &str,
+    parse: impl FnOnce() -> Result<T, String>,
+) -> Result<(), String> {
+    if slot.is_some() {
+        return Err(format!("repeated key '{key}' (each of mitigations=, profile=, ranks= may appear once)"));
+    }
+    *slot = Some(parse()?);
+    Ok(())
 }
 
 fn parse_mitigations(value: &str, config: &StoreConfig) -> Result<MitigationSet, String> {
@@ -404,16 +410,14 @@ pub fn build_store(config: &StoreConfig, dir: &Path) -> Result<BuildReport, Stor
     let chunks = config.chunks();
     let profiles = config.profiles();
     let deployments = DeploymentCache::standard();
-    let scratch_pool = ScratchPool::without_netlog();
 
     let dirty = &plan.dirty;
     let mut write_error: Option<StoreError> = None;
-    run_indexed_streaming(
+    stream_tasks(
         config.threads,
         dirty.len(),
         config.channel_capacity,
-        |_worker| StoreWorker::from_pool(&scratch_pool),
-        |worker, task| worker.run_chunk(config, dirty[task], chunks[dirty[task]], &deployments, &profiles),
+        |worker, task| build_shard(worker, config, dirty[task], chunks[dirty[task]], &deployments, &profiles),
         |_task, shard| {
             if write_error.is_none() {
                 if let Err(error) = write_shard(dir, &shard) {
@@ -443,97 +447,32 @@ pub fn open_store(config: &StoreConfig, dir: &Path) -> Result<ShardStore, StoreE
     ShardStore::open_with_fingerprint(dir, config.fingerprint())
 }
 
-/// A store worker's reusable state, mirroring the atlas chunk worker: one
-/// pooled scratch arena and one streaming classifier per executor worker,
-/// reused across every chunk (stolen or not).
-struct StoreWorker<'pool> {
-    scratch: PooledScratch<'pool>,
-    classifier: FastVisitClassifier,
-}
-
-impl<'pool> StoreWorker<'pool> {
-    fn from_pool(pool: &'pool ScratchPool) -> Self {
-        StoreWorker { scratch: pool.checkout(), classifier: FastVisitClassifier::new() }
+/// Crawl one chunk under every stored (deployment × profile) cell and
+/// assemble its shard. The population is generated once per deployment (it
+/// depends on the deployment, never on the link) and crawled once per
+/// profile, so every stochastic stream forks off the global site index.
+fn build_shard(
+    worker: &mut ColdWorker<'_>,
+    config: &StoreConfig,
+    chunk_index: usize,
+    (start, len): (usize, usize),
+    deployments: &DeploymentCache,
+    profiles: &[LinkProfile],
+) -> ShardFile {
+    let mut records = Vec::with_capacity(config.mitigations.len() * profiles.len());
+    for &mitigations in &config.mitigations {
+        let env = atlas_population(config.seed, config.zipf_exponent, (start, len), mitigations, deployments);
+        for (profile_index, profile) in profiles.iter().enumerate() {
+            let record = worker.fold(&priced_crawler(config.seed, mitigations, profile), &env);
+            records.push(record.to_shard(mitigations, profile_index));
+        }
     }
-
-    /// Crawl one chunk under every stored (deployment × profile) cell and
-    /// assemble its shard. The population is generated once per deployment
-    /// (it depends on the deployment, never on the link) and crawled once
-    /// per profile — exactly the cost engine's cell discipline at the
-    /// atlas's population shape, so every stochastic stream forks off the
-    /// global site index.
-    fn run_chunk(
-        &mut self,
-        config: &StoreConfig,
-        chunk_index: usize,
-        (start, len): (usize, usize),
-        deployments: &DeploymentCache,
-        profiles: &[LinkProfile],
-    ) -> ShardFile {
-        let chunk_guard = netsim_types::profile::enter(Stage::ChunkLoop);
-        let mut records = Vec::with_capacity(config.mitigations.len() * profiles.len());
-        for &mitigations in &config.mitigations {
-            // Both profiles carry the atlas scenario name so generated
-            // domains are identical to the atlas population's.
-            let mut head = PopulationProfile::alexa();
-            head.name = "atlas".to_string();
-            let mut tail = PopulationProfile::archive();
-            tail.name = "atlas".to_string();
-
-            let env = PopulationBuilder::new(tail, len, config.seed + ALEXA_POPULATION_SEED_OFFSET)
-                .with_site_offset(start)
-                .with_zipf_profile_mix(head, config.zipf_exponent)
-                .with_shared_deployment(deployments.deployment(mitigations))
-                .with_mitigations(mitigations)
-                .build();
-            let planned_requests = env.total_planned_requests() as u64;
-            let label = mitigations.label();
-
-            for (profile_index, profile) in profiles.iter().enumerate() {
-                let crawler = Crawler::new(
-                    &label,
-                    BrowserConfig::with_mitigations(mitigations).over_link(profile),
-                    config.seed + ALEXA_CRAWL_SEED_OFFSET,
-                );
-                let mut accumulator = Accumulator::new();
-                let mut requests = 0u64;
-                let mut cost = CostTotals::new();
-                for index in 0..env.sites.len() {
-                    let times = crawler.visit_site_into(&mut self.scratch, &env, index);
-                    requests += self.scratch.requests().len() as u64;
-                    cost.absorb_visit(self.scratch.timeline());
-                    if self.scratch.all_ok() {
-                        netsim_types::stage!(Stage::Classify);
-                        let counts =
-                            classify_scratch(&mut self.classifier, &self.scratch, DurationModel::Recorded);
-                        accumulator.observe_counts(&counts);
-                    } else {
-                        // HTTP 421 exclusions: fall back to the full pipeline.
-                        netsim_types::stage!(Stage::Classify);
-                        let visit = self.scratch.to_page_visit(&env.sites[index], times);
-                        accumulator
-                            .observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
-                    }
-                }
-                records.push(ShardRecord {
-                    mitigation_bits: mitigations.bits() as u64,
-                    profile_index: profile_index as u64,
-                    accumulator: accumulator.state(),
-                    requests,
-                    planned_requests,
-                    cost,
-                });
-            }
-        }
-        drop(chunk_guard);
-        netsim_types::profile::flush_local();
-        ShardFile {
-            fingerprint: config.fingerprint(),
-            chunk_index: chunk_index as u64,
-            start: start as u64,
-            len: len as u64,
-            records,
-        }
+    ShardFile {
+        fingerprint: config.fingerprint(),
+        chunk_index: chunk_index as u64,
+        start: start as u64,
+        len: len as u64,
+        records,
     }
 }
 
@@ -560,45 +499,19 @@ pub struct QueryAnswer {
     pub cost: CostTotals,
 }
 
-/// The shard-merge fold shared by the store path and the in-memory path.
-struct QueryFold {
-    accumulator: Accumulator,
-    requests: u64,
-    planned_requests: u64,
-    cost: CostTotals,
-    chunks: usize,
-}
-
-impl QueryFold {
-    fn new() -> Self {
-        QueryFold {
-            accumulator: Accumulator::new(),
-            requests: 0,
-            planned_requests: 0,
-            cost: CostTotals::new(),
-            chunks: 0,
-        }
-    }
-
-    fn absorb(&mut self, record: &ShardRecord) {
-        self.accumulator.merge(&Accumulator::from_state(&record.accumulator));
-        self.requests += record.requests;
-        self.planned_requests += record.planned_requests;
-        self.cost.merge(&record.cost);
-        self.chunks += 1;
-    }
-
-    fn finish(self, config: &StoreConfig, query: &StoreQuery) -> QueryAnswer {
-        let observed_sites = self.accumulator.observed_sites();
+impl QueryAnswer {
+    /// The answer assembled from the fold of its covered chunks.
+    fn from_fold(config: &StoreConfig, query: &StoreQuery, chunks: usize, fold: ColdRecord) -> Self {
+        let observed_sites = fold.accumulator.observed_sites();
         QueryAnswer {
             query: *query,
             profile: config.profiles()[query.profile_index].clone(),
-            chunks: self.chunks,
-            summary: self.accumulator.finish(&query.mitigations.label()),
+            chunks,
+            summary: fold.accumulator.finish(&query.mitigations.label()),
             observed_sites,
-            requests: self.requests,
-            planned_requests: self.planned_requests,
-            cost: self.cost,
+            requests: fold.requests,
+            planned_requests: fold.planned_requests,
+            cost: fold.cost,
         }
     }
 }
@@ -632,7 +545,7 @@ pub fn answer_query(
     query: &StoreQuery,
 ) -> Result<QueryAnswer, StoreError> {
     let (record_index, covered) = query_targets(config, query)?;
-    let mut fold = QueryFold::new();
+    let mut fold = ColdRecord::default();
     let mut failure: Option<StoreError> = None;
     run_indexed_streaming(
         config.threads,
@@ -641,7 +554,7 @@ pub fn answer_query(
         |_worker| (),
         |_state, task| store.read_chunk(covered[task]),
         |_task, result| match result {
-            Ok(shard) => fold.absorb(&shard.records[record_index]),
+            Ok(shard) => fold.merge(&ColdRecord::from_shard(&shard.records[record_index])),
             Err(error) => {
                 if failure.is_none() {
                     failure = Some(error);
@@ -652,31 +565,29 @@ pub fn answer_query(
     if let Some(error) = failure {
         return Err(error);
     }
-    Ok(fold.finish(config, query))
+    Ok(QueryAnswer::from_fold(config, query, covered.len(), fold))
 }
 
 /// Answer the same query **without** a store: crawl the covered chunks in
-/// memory and fold the identical records. The round-trip tests pin
-/// `answer_in_memory(..) == answer_query(..)` byte-for-byte — the store is
-/// a cache of this computation, never an approximation of it.
+/// memory under the queried cell and fold the identical records. The
+/// round-trip tests pin `answer_in_memory(..) == answer_query(..)`
+/// byte-for-byte — the store is a cache of this computation, never an
+/// approximation of it.
 pub fn answer_in_memory(config: &StoreConfig, query: &StoreQuery) -> Result<QueryAnswer, StoreError> {
-    let (record_index, covered) = query_targets(config, query)?;
+    let (_, covered) = query_targets(config, query)?;
     let chunks = config.chunks();
-    let profiles = config.profiles();
     let deployments = DeploymentCache::standard();
-    let scratch_pool = ScratchPool::without_netlog();
-    let mut fold = QueryFold::new();
-    run_indexed_streaming(
-        config.threads,
-        covered.len(),
-        config.channel_capacity,
-        |_worker| StoreWorker::from_pool(&scratch_pool),
-        |worker, task| {
-            worker.run_chunk(config, covered[task], chunks[covered[task]], &deployments, &profiles)
-        },
-        |_task, shard| fold.absorb(&shard.records[record_index]),
-    );
-    Ok(fold.finish(config, query))
+    let crawler = priced_crawler(config.seed, query.mitigations, &config.profiles()[query.profile_index]);
+    let outcome = run_tasks(config.threads, covered.len(), |worker, task| {
+        let range = chunks[covered[task]];
+        let env = atlas_population(config.seed, config.zipf_exponent, range, query.mitigations, &deployments);
+        worker.fold(&crawler, &env)
+    });
+    let mut fold = ColdRecord::default();
+    for record in &outcome.results {
+        fold.merge(record);
+    }
+    Ok(QueryAnswer::from_fold(config, query, covered.len(), fold))
 }
 
 impl QueryAnswer {
@@ -897,19 +808,24 @@ mod tests {
         assert_eq!((default.lo, default.hi), (0, 36));
 
         for bad in [
-            "profile=broadband",               // no deployment
-            "mitigations=WARP-DRIVE",          // unknown label
-            "mitigations=ORIGIN",              // known label, not stored
-            "mitigations=none profile=dialup", // unknown profile
-            "mitigations=none ranks=5..36",    // misaligned lo
-            "mitigations=none ranks=0..13",    // misaligned hi
-            "mitigations=none ranks=24..12",   // reversed
-            "mitigations=none ranks=0..99",    // beyond the store
-            "mitigations=none speed=11",       // unknown key
-            "gibberish",                       // not key=value
+            "profile=broadband",                                     // no deployment
+            "mitigations=WARP-DRIVE",                                // unknown label
+            "mitigations=ORIGIN",                                    // known label, not stored
+            "mitigations=none profile=dialup",                       // unknown profile
+            "mitigations=none ranks=5..36",                          // misaligned lo
+            "mitigations=none ranks=0..13",                          // misaligned hi
+            "mitigations=none ranks=24..12",                         // reversed
+            "mitigations=none ranks=0..99",                          // beyond the store
+            "mitigations=none speed=11",                             // unknown key
+            "gibberish",                                             // not key=value
+            "mitigations=none mitigations=all",                      // repeated deployment
+            "mitigations=none profile=broadband profile=datacenter", // repeated profile
+            "mitigations=none ranks=0..12 ranks=12..36",             // repeated ranks
         ] {
             assert!(StoreQuery::parse(bad, &config).is_err(), "'{bad}' should not parse");
         }
+        let repeated = StoreQuery::parse("mitigations=none mitigations=all", &config).unwrap_err();
+        assert!(repeated.contains("repeated key 'mitigations'"), "{repeated}");
     }
 
     #[test]

@@ -28,22 +28,25 @@
 //!
 //! ## Sharding and determinism
 //!
-//! Cells are independent, so the runner shards the grid across worker
-//! threads in fixed-size chunks (cell index = mitigation bits). Every
-//! stochastic choice inside a cell flows from RNG streams forked off the
-//! root seed by *stable labels* (site index, visit index), never from shard
-//! or thread identity — so `threads = 1` and `threads = 8` produce
-//! byte-identical reports (asserted in `tests/determinism.rs`). All cells
-//! deliberately share the same population and crawl seeds: a cell differs
-//! from the baseline only by its deployment, which is what makes the
-//! per-mitigation deltas meaningful.
+//! Cells are independent tasks of the experiments' one cell engine: each
+//! runs the shared cold fold (visit → classify → fold through a pooled
+//! scratch arena), and the 16 of them are scheduled on the work-stealing
+//! executor (`connreuse_executor::run_indexed`), whose results are
+//! index-addressed (cell index = mitigation bits) whichever worker ran
+//! them. Every stochastic choice inside a cell flows from RNG streams forked
+//! off the root seed by *stable labels* (site index, visit index), never
+//! from worker or thread identity — so `threads = 1` and `threads = 8`
+//! produce byte-identical reports (asserted in `tests/determinism.rs`).
+//! All cells deliberately share the same population and crawl seeds: a cell
+//! differs from the baseline only by its deployment, which is what makes
+//! the per-mitigation deltas meaningful.
 
+use crate::engine::{alexa_population, run_tasks};
 use crate::render::{format_count, format_percent, TextTable};
-use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
-use connreuse_core::{classify_dataset, dataset_from_crawl, Cause, DatasetSummary, DurationModel};
+use crate::scenario::{ScenarioConfig, ALEXA_CRAWL_SEED_OFFSET};
+use connreuse_core::{Cause, DatasetSummary};
 use netsim_browser::{BrowserConfig, Crawler};
 use netsim_types::{Mitigation, MitigationSet};
-use netsim_web::{PopulationBuilder, PopulationProfile};
 use serde::{Deserialize, Serialize};
 
 /// Sizing and seeding of one sweep run.
@@ -98,61 +101,28 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
 }
 
-/// Run the full mitigation sweep: all 16 cells, sharded across
-/// `config.threads` worker threads.
+/// Run the full mitigation sweep: all 16 cells, scheduled over
+/// `config.threads` work-stealing workers.
+///
+/// Each cell is the population deployed under its mitigations, crawled with
+/// the matching browser policy and classified with recorded durations
+/// through the engine's cold fold. The seeds reuse
+/// [`crate::scenario::Scenario::build`]'s Alexa offsets, so the baseline
+/// cell equals the scenario's own Alexa run (asserted in the tests below).
 pub fn run_sweep(config: &SweepConfig) -> SweepReport {
     let combos = MitigationSet::all_combinations();
-    let mut cells: Vec<Option<SweepCell>> = Vec::new();
-    cells.resize_with(combos.len(), || None);
-
-    let threads = config.threads.clamp(1, combos.len());
-    if threads <= 1 {
-        for (cell, combo) in cells.iter_mut().zip(&combos) {
-            *cell = Some(run_cell(config, *combo));
-        }
-    } else {
-        let chunk = combos.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (slot, shard) in cells.chunks_mut(chunk).zip(combos.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (cell, combo) in slot.iter_mut().zip(shard) {
-                        *cell = Some(run_cell(config, *combo));
-                    }
-                });
-            }
-        });
-    }
-
-    SweepReport { config: *config, cells: cells.into_iter().map(|c| c.expect("every cell ran")).collect() }
-}
-
-/// Measure one cell: population deployed under the mitigations, crawled with
-/// the matching browser policy, classified with recorded durations.
-///
-/// The seeds reuse [`crate::scenario::Scenario::build`]'s Alexa offsets, so
-/// the baseline cell equals the scenario's own Alexa run (asserted in the
-/// tests below). Crawls are single-threaded here — the parallelism lives at
-/// the cell level, and visit results are independent of crawl threading
-/// anyway.
-fn run_cell(config: &SweepConfig, mitigations: MitigationSet) -> SweepCell {
-    let env = PopulationBuilder::new(
-        PopulationProfile::alexa(),
-        config.sites,
-        config.seed + ALEXA_POPULATION_SEED_OFFSET,
-    )
-    .with_mitigations(mitigations)
-    .build();
-    let label = mitigations.label();
-    let report = Crawler::new(
-        &label,
-        BrowserConfig::with_mitigations(mitigations),
-        config.seed + ALEXA_CRAWL_SEED_OFFSET,
-    )
-    .crawl(&env);
-    let dataset = dataset_from_crawl(&report);
-    let summary =
-        DatasetSummary::from_classifications(&label, &classify_dataset(&dataset, DurationModel::Recorded));
-    SweepCell { mitigations, summary }
+    let cells = run_tasks(config.threads, combos.len(), |worker, index| {
+        let mitigations = combos[index];
+        let env = alexa_population(config.sites, config.seed, mitigations);
+        let label = mitigations.label();
+        let crawler = Crawler::new(
+            &label,
+            BrowserConfig::with_mitigations(mitigations),
+            config.seed + ALEXA_CRAWL_SEED_OFFSET,
+        );
+        SweepCell { mitigations, summary: worker.fold(&crawler, &env).accumulator.finish(&label) }
+    });
+    SweepReport { config: *config, cells: cells.results }
 }
 
 impl SweepReport {
@@ -352,7 +322,7 @@ mod tests {
     #[test]
     fn baseline_cell_reproduces_the_scenario_alexa_measurement() {
         use crate::scenario::{Scenario, ScenarioConfig};
-        use connreuse_core::classify_dataset;
+        use connreuse_core::{classify_site, Accumulator, DurationModel};
 
         let config = ScenarioConfig {
             archive_sites: 30,
@@ -363,11 +333,15 @@ mod tests {
         };
         let scenario = Scenario::build(config);
         let report = run_sweep(&SweepConfig::from_scenario(&config));
-        let alexa = DatasetSummary::from_classifications(
-            "none", // match the baseline cell's label so the summaries compare whole
-            &classify_dataset(&scenario.alexa, DurationModel::Recorded),
-        );
-        assert_eq!(report.baseline().summary, alexa);
+        // The scenario crawl materialises every visit and classifies it
+        // through the batch pipeline; the sweep cell streams the same visits
+        // through the engine's cold fold.
+        let mut alexa = Accumulator::new();
+        for site in &scenario.alexa.sites {
+            alexa.observe(&classify_site(site, DurationModel::Recorded));
+        }
+        // Match the baseline cell's label so the summaries compare whole.
+        assert_eq!(report.baseline().summary, alexa.finish("none"));
     }
 
     #[test]

@@ -6,11 +6,16 @@
 //!
 //! This is the equivalence the atlas scale scenario's byte-identical golden
 //! report rests on: the fast path must agree with the reference pipeline on
-//! every visit, across duration models, profiles and seeds.
+//! every visit, across duration models, profiles and seeds — and, because
+//! every cold experiment (sweep included) folds through the same engine,
+//! under every mitigation deployment.
 
 use connreuse_core::{classify_site, site_from_visit, Accumulator, DurationModel, FastVisitClassifier};
 use connreuse_experiments::atlas::classify_scratch;
+use connreuse_experiments::scenario::{ALEXA_CRAWL_SEED_OFFSET, ALEXA_POPULATION_SEED_OFFSET};
+use connreuse_experiments::sweep::{run_sweep, SweepConfig};
 use netsim_browser::{BrowserConfig, Crawler, VisitScratch};
+use netsim_types::MitigationSet;
 use netsim_web::{PopulationBuilder, PopulationProfile};
 use proptest::prelude::*;
 
@@ -58,5 +63,43 @@ proptest! {
 
         prop_assert_eq!(&fast, &batch, "accumulators diverge");
         prop_assert_eq!(fast.clone().finish("x"), batch.clone().finish("x"));
+    }
+
+    #[test]
+    fn engine_cold_fold_matches_batch_pipeline_under_every_deployment(
+        seed in 0u64..500,
+        sites in 1usize..8,
+        combo in 0usize..MitigationSet::COMBINATIONS,
+        threads in 1usize..3,
+    ) {
+        // The sweep cell is the engine's cold fold (streaming classifier,
+        // HTTP-421 fallback included) over the deployment's population.
+        let mitigations = MitigationSet::all_combinations()[combo];
+        let report = run_sweep(&SweepConfig { sites, seed, threads });
+        let fast = &report.cell(mitigations).summary;
+
+        // The reference: the same population and browser policy, every
+        // visit materialised and classified through the batch pipeline.
+        let env = PopulationBuilder::new(
+            PopulationProfile::alexa(),
+            sites,
+            seed + ALEXA_POPULATION_SEED_OFFSET,
+        )
+        .with_mitigations(mitigations)
+        .build();
+        let label = mitigations.label();
+        let crawler = Crawler::new(
+            &label,
+            BrowserConfig::with_mitigations(mitigations),
+            seed + ALEXA_CRAWL_SEED_OFFSET,
+        );
+        let mut batch = Accumulator::new();
+        for index in 0..env.sites.len() {
+            let visit = crawler.visit_site(&env, index);
+            batch.observe(&classify_site(&site_from_visit(&visit), DurationModel::Recorded));
+        }
+
+        prop_assert_eq!(batch.observed_sites(), sites);
+        prop_assert_eq!(fast, &batch.finish(&label), "deployment {}", label);
     }
 }
