@@ -55,13 +55,16 @@ impl fmt::Debug for AutonomousSystem {
 /// hosting landscape.
 ///
 /// A registry can be *layered* over a shared immutable base
-/// ([`AsRegistry::with_base`]): allocation continues where the base stopped
-/// (so prefixes stay distinct and identical to a monolithic build) and
-/// lookups consult both layers.
+/// ([`AsRegistry::with_base`]), and bases can themselves be layered:
+/// allocation continues where the base stopped (so prefixes stay distinct
+/// and identical to a monolithic build) and lookups consult every layer.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct AsRegistry {
     /// Announced prefixes, keyed by base address (all /24 or shorter).
     announcements: BTreeMap<Prefix, AutonomousSystem>,
+    /// Bit `n` is set iff this layer announces some prefix of length `n`:
+    /// longest-prefix match probes only the lengths that occur.
+    lengths: u64,
     /// Next /16 block index used by [`AsRegistry::allocate_slash24`].
     next_block: u32,
     /// Shared read-only announcements consulted on lookup misses.
@@ -77,11 +80,17 @@ impl AsRegistry {
     /// An empty registry layered over a shared base: the /24 allocator
     /// continues at the base's next block, lookups fall back to the base.
     pub fn with_base(base: std::sync::Arc<AsRegistry>) -> Self {
-        AsRegistry { announcements: BTreeMap::new(), next_block: base.next_block, base: Some(base) }
+        AsRegistry {
+            announcements: BTreeMap::new(),
+            lengths: 0,
+            next_block: base.next_block,
+            base: Some(base),
+        }
     }
 
     /// Announce `prefix` as belonging to `system`.
     pub fn announce(&mut self, prefix: Prefix, system: AutonomousSystem) {
+        self.lengths |= 1 << prefix.len();
         self.announcements.insert(prefix, system);
     }
 
@@ -102,24 +111,32 @@ impl AsRegistry {
     }
 
     /// Longest-prefix match: the AS announcing the most specific prefix
-    /// containing `ip`, across this layer and any shared base.
+    /// containing `ip`, across this layer and every shared base. On equal
+    /// lengths the upper layer wins, like a monolithic registry in which it
+    /// announced last.
+    ///
+    /// Each candidate length costs one ordered probe for the masked prefix
+    /// per layer that announces that length, instead of a scan over every
+    /// announcement.
     pub fn lookup(&self, ip: IpAddr) -> Option<&AutonomousSystem> {
-        self.best_match(ip).map(|(_, system)| system)
+        let mut lengths = self.layers().fold(0u64, |acc, layer| acc | layer.lengths);
+        while lengths != 0 {
+            let len = 63 - lengths.leading_zeros();
+            let bit = 1u64 << len;
+            let probe = Prefix::new(ip, len as u8);
+            for layer in self.layers().filter(|layer| layer.lengths & bit != 0) {
+                if let Some(system) = layer.announcements.get(&probe) {
+                    return Some(system);
+                }
+            }
+            lengths &= !bit;
+        }
+        None
     }
 
-    /// The most specific matching announcement in this layer or its base
-    /// (comparing prefix lengths across layers, like a monolithic registry).
-    fn best_match(&self, ip: IpAddr) -> Option<(&Prefix, &AutonomousSystem)> {
-        let local = self
-            .announcements
-            .iter()
-            .filter(|(prefix, _)| prefix.contains(ip))
-            .max_by_key(|(prefix, _)| prefix.len());
-        let base = self.base.as_ref().and_then(|base| base.best_match(ip));
-        match (local, base) {
-            (Some(local), Some(base)) => Some(if local.0.len() >= base.0.len() { local } else { base }),
-            (hit, None) | (None, hit) => hit,
-        }
+    /// This layer, then each base down the chain.
+    fn layers(&self) -> impl Iterator<Item = &AsRegistry> {
+        std::iter::successors(Some(self), |layer| layer.base.as_deref())
     }
 
     /// Number of announced prefixes.

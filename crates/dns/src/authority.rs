@@ -1,34 +1,40 @@
 //! The authoritative side of the simulated DNS.
 //!
-//! [`Authority`] aggregates all zones of a simulation run. Recursive resolvers
-//! send it name queries together with a [`QueryContext`]; it finds the zone
-//! responsible for the name and returns the matching records. Zone cuts and
+//! [`Authority`] holds every owner name of a simulation run. Recursive
+//! resolvers send it name queries together with a [`QueryContext`]; it finds
+//! the entry for the name and returns the matching records. Zone cuts and
 //! delegation latency are not modelled — the analysis only depends on *which
 //! addresses* come back, not on how many referrals it took to find them.
 
 use crate::query::QueryContext;
 use crate::record::ResourceRecord;
-use crate::zone::{Zone, ZoneEntry};
-use netsim_types::DomainName;
+use crate::zone::ZoneEntry;
+use netsim_types::{DomainMap, DomainName};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// The collection of all authoritative zones.
+/// The authoritative data of a run: one [`ZoneEntry`] per owner name.
+///
+/// Entries are indexed flat by owner name, so an exact query costs one hash
+/// probe per layer and never walks the name's ancestors. Zones are implicit:
+/// every name belongs to the zone of its registrable domain
+/// ([`DomainName::registrable`]), which is all [`Authority::zone_count`]
+/// needs.
 ///
 /// An authority can be *layered* on top of a shared, immutable base
-/// ([`Authority::with_base`]): the two layers must hold **disjoint** name
-/// sets (asserted in debug builds on insertion), and queries probe the base
-/// first — it is small and densely hit — before walking the local zones.
-/// The population generator uses this to issue the third-party service
-/// zones once per (catalog, mitigation-set) and share them across every
-/// chunk of a large population instead of reinstalling them per chunk.
+/// ([`Authority::with_base`]), and bases can themselves be layered. The
+/// layers must hold **disjoint** name sets (asserted in debug builds on
+/// insertion). The population generator uses this to issue the misc
+/// third-party pool once per run and the service catalog once per
+/// mitigation set, and to share both across every chunk of a large
+/// population instead of reinstalling them per chunk.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Authority {
-    /// Zones indexed by their apex. Lookup walks from the most specific
-    /// enclosing apex outwards.
-    zones: BTreeMap<DomainName, Zone>,
-    /// Shared read-only zones consulted when the local layer has no data.
-    base: Option<std::sync::Arc<Authority>>,
+    /// This layer's entries by owner name.
+    entries: DomainMap<ZoneEntry>,
+    /// Shared read-only layers consulted when this one has no entry.
+    base: Option<Arc<Authority>>,
 }
 
 impl Authority {
@@ -38,62 +44,40 @@ impl Authority {
     }
 
     /// An empty authority layered over a shared base. The layers' name sets
-    /// must stay disjoint: the base answers first, so a local entry for a
-    /// base-known name would be shadowed (debug-asserted in
-    /// [`Authority::insert_entry`]).
-    pub fn with_base(base: std::sync::Arc<Authority>) -> Self {
-        Authority { zones: BTreeMap::new(), base: Some(base) }
+    /// must stay disjoint (debug-asserted in [`Authority::insert_entry`]).
+    pub fn with_base(base: Arc<Authority>) -> Self {
+        Authority { entries: DomainMap::new(), base: Some(base) }
     }
 
-    /// Add (or replace) a zone rooted at `apex`.
-    pub fn add_zone(&mut self, apex: DomainName, zone: Zone) -> &mut Self {
-        self.zones.insert(apex, zone);
-        self
-    }
-
-    /// Convenience: ensure a zone exists for `apex` and return a mutable
-    /// reference to it.
-    pub fn zone_mut(&mut self, apex: DomainName) -> &mut Zone {
-        self.zones.entry(apex).or_insert_with(|| Zone::rooted(apex))
-    }
-
-    /// Insert a single entry, creating the zone for the name's registrable
-    /// domain if needed. This is the common path for the population generator.
+    /// Insert (or replace) the entry for `name`, in the zone of the name's
+    /// registrable domain.
     pub fn insert_entry(&mut self, name: DomainName, entry: ZoneEntry) {
         debug_assert!(
             self.base.as_ref().is_none_or(|base| !base.knows(&name)),
             "layered authority inserted {name}, which the shared base already answers"
         );
-        let apex = name.registrable();
-        self.zone_mut(apex).insert(name, entry);
+        self.entries.insert(name, entry);
     }
 
-    /// Number of zones.
+    /// Number of zones (distinct registrable domains) in this layer.
     pub fn zone_count(&self) -> usize {
-        self.zones.len()
+        self.entries.keys().map(DomainName::registrable).collect::<BTreeSet<_>>().len()
     }
 
-    /// Total number of owner names across all zones.
+    /// Total number of owner names in this layer.
     pub fn name_count(&self) -> usize {
-        self.zones.values().map(Zone::len).sum()
+        self.entries.len()
     }
 
-    /// The zone responsible for `name`: the zone whose apex is the longest
-    /// suffix of `name`.
-    pub fn zone_for(&self, name: &DomainName) -> Option<&Zone> {
-        let mut candidate = Some(*name);
-        while let Some(current) = candidate {
-            if let Some(zone) = self.zones.get(&current) {
-                if zone.entry(name).is_some() || &current == name {
-                    return Some(zone);
-                }
-                // The apex matches but holds no entry for the name; keep the
-                // zone anyway — it is still the authoritative one.
-                return Some(zone);
+    /// The entry for `name` in this layer or any base layer.
+    fn entry(&self, name: &DomainName) -> Option<&ZoneEntry> {
+        let mut layer = self;
+        loop {
+            if let Some(entry) = layer.entries.get(name) {
+                return Some(entry);
             }
-            candidate = current.parent();
+            layer = layer.base.as_deref()?;
         }
-        None
     }
 
     /// Answer a query: the records for `name` under `ctx`, or an empty vector
@@ -108,26 +92,14 @@ impl Authority {
     /// allocating a fresh vector — the resolver hot path reuses one buffer
     /// across lookups.
     pub fn query_into(&self, name: &DomainName, ctx: &QueryContext, out: &mut Vec<ResourceRecord>) {
-        // Layered authorities keep the (small, densely hit) shared service
-        // zones in the base and the per-site zones locally; apexes are
-        // disjoint, so probe the cheap base first. Monolithic authorities
-        // skip straight to their own zones.
-        let before = out.len();
-        if let Some(base) = &self.base {
-            base.query_into(name, ctx, out);
-            if out.len() > before {
-                return;
-            }
-        }
-        if let Some(zone) = self.zone_for(name) {
-            zone.records_into(name, ctx, out);
+        if let Some(entry) = self.entry(name) {
+            entry.records_into(name, ctx, out);
         }
     }
 
-    /// `true` if some zone has an entry for `name`.
+    /// `true` if some layer has an entry for `name`.
     pub fn knows(&self, name: &DomainName) -> bool {
-        self.zone_for(name).map(|z| z.entry(name).is_some()).unwrap_or(false)
-            || self.base.as_ref().is_some_and(|base| base.knows(name))
+        self.entry(name).is_some()
     }
 }
 
@@ -181,9 +153,49 @@ mod tests {
     }
 
     #[test]
-    fn zone_for_walks_up_the_tree() {
-        let auth = authority();
-        assert!(auth.zone_for(&d("a.b.c.example.com")).is_some());
-        assert!(auth.zone_for(&d("example.org")).is_none());
+    fn layered_lookups_consult_every_base() {
+        let mut bottom = Authority::new();
+        bottom.insert_entry(d("cdn.thirdparty.net"), ZoneEntry::single(IpAddr::new(198, 51, 100, 1)));
+        let mut middle = Authority::with_base(Arc::new(bottom));
+        middle.insert_entry(d("www.service.com"), ZoneEntry::single(IpAddr::new(198, 51, 100, 2)));
+        let mut top = Authority::with_base(Arc::new(middle));
+        top.insert_entry(d("site.example"), ZoneEntry::alias(d("www.service.com")));
+        for name in ["cdn.thirdparty.net", "www.service.com", "site.example"] {
+            assert!(top.knows(&d(name)), "{name} must resolve through the layers");
+            assert_eq!(top.query(&d(name), &ctx()).len(), 1);
+        }
+        assert!(!top.knows(&d("missing.example")));
+        // Counts are per layer.
+        assert_eq!(top.name_count(), 1);
+        assert_eq!(top.zone_count(), 1);
+    }
+
+    #[test]
+    fn serialization_is_independent_of_insertion_order() {
+        // Intern in reverse textual order so intern-id (hash) order and
+        // textual order disagree, then insert forwards and backwards.
+        let names: Vec<String> = (0..48).map(|i| format!("serde-{i:02}.example.net")).collect();
+        for name in names.iter().rev() {
+            d(name);
+        }
+        let entry = |i: usize| ZoneEntry::single(IpAddr::new(192, 0, 2, i as u8));
+        let mut forward = Authority::new();
+        for (i, name) in names.iter().enumerate() {
+            forward.insert_entry(d(name), entry(i));
+        }
+        let mut backward = Authority::new();
+        for (i, name) in names.iter().enumerate().rev() {
+            backward.insert_entry(d(name), entry(i));
+        }
+        let json = serde_json::to_string(&forward).unwrap();
+        assert_eq!(json, serde_json::to_string(&backward).unwrap());
+        let positions: Vec<usize> = names.iter().map(|name| json.find(name.as_str()).unwrap()).collect();
+        assert!(
+            positions.windows(2).all(|pair| pair[0] < pair[1]),
+            "entries must serialize in textual order"
+        );
+        let back: Authority = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.name_count(), names.len());
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 }

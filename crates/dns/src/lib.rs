@@ -19,8 +19,8 @@
 //! * [`loadbalance`] — answer-selection policies: static, rotating pools,
 //!   per-resolver (unsynchronized) pools, vantage-dependent and synchronized
 //!   anycast-style policies,
-//! * [`authority`] — the authoritative side: a registry of zones queried by
-//!   resolvers,
+//! * [`authority`] — the authoritative side: every owner name's entry,
+//!   hash-indexed and layerable, queried by resolvers,
 //! * [`resolver`] — recursive resolvers with TTL caches, CNAME chasing and an
 //!   optional EDNS Client Subnet flag,
 //! * [`query`] — the query context (who asks, from where, when).
@@ -42,4 +42,4 @@ pub use loadbalance::LoadBalancePolicy;
 pub use query::{QueryContext, ResolverId, Vantage};
 pub use record::{Answer, RecordData, ResourceRecord};
 pub use resolver::{RecursiveResolver, ResolutionError, ResolverConfig};
-pub use zone::{Zone, ZoneEntry};
+pub use zone::ZoneEntry;

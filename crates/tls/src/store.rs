@@ -10,7 +10,7 @@
 use crate::certificate::{Certificate, CertificateId, SanEntry};
 use crate::issuer::Issuer;
 use crate::policy::IssuancePolicy;
-use netsim_types::{DomainName, Duration, Instant};
+use netsim_types::{DomainMap, DomainName, Duration, Instant};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -24,15 +24,20 @@ const DEFAULT_VALIDITY: Duration = Duration::from_days(90);
 /// server (and from there to every connection that presents it) shares a
 /// single allocation instead of cloning the SAN list per connection. A store
 /// can also be *layered* over a shared immutable base
-/// ([`CertificateStore::with_base`]): ids continue after the base's, lookups
-/// consult both layers, and the newest certificate still wins SNI selection.
+/// ([`CertificateStore::with_base`]), and bases can themselves be layered:
+/// ids continue after the base's, lookups consult every layer, and the
+/// newest certificate still wins SNI selection.
+///
+/// The name indexes are hash maps keyed by the interned name, so an SNI
+/// lookup costs one probe per layer (plus one wildcard probe in a layer that
+/// holds wildcard certificates); they serialize in textual key order.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct CertificateStore {
     certificates: Vec<Arc<Certificate>>,
     /// Exact-name index: domain → certificates listing it as a DNS SAN.
-    by_domain: BTreeMap<DomainName, Vec<CertificateId>>,
+    by_domain: DomainMap<Vec<CertificateId>>,
     /// Wildcard index: zone → certificates listing `*.zone`.
-    by_wildcard_zone: BTreeMap<DomainName, Vec<CertificateId>>,
+    by_wildcard_zone: DomainMap<Vec<CertificateId>>,
     /// Shared read-only certificates with ids `0..base.len()`.
     base: Option<Arc<CertificateStore>>,
 }
@@ -48,8 +53,8 @@ impl CertificateStore {
     pub fn with_base(base: Arc<CertificateStore>) -> Self {
         CertificateStore {
             certificates: Vec::new(),
-            by_domain: BTreeMap::new(),
-            by_wildcard_zone: BTreeMap::new(),
+            by_domain: DomainMap::new(),
+            by_wildcard_zone: DomainMap::new(),
             base: Some(base),
         }
     }
@@ -150,17 +155,26 @@ impl CertificateStore {
     /// Collect the ids of certificates matching `domain` in this layer and
     /// any base layer.
     fn matching_ids(&self, domain: &DomainName, out: &mut Vec<CertificateId>) {
-        if let Some(exact) = self.by_domain.get(domain) {
-            out.extend(exact.iter().copied());
-        }
-        if let Some(parent) = domain.parent() {
-            if let Some(wc) = self.by_wildcard_zone.get(&parent) {
-                out.extend(wc.iter().copied());
-            }
-        }
+        let (exact, wildcard) = self.local_matches(domain);
+        out.extend(exact.iter().chain(wildcard).copied());
         if let Some(base) = &self.base {
             base.matching_ids(domain, out);
         }
+    }
+
+    /// This layer's exact-name and wildcard matches for `domain`. The
+    /// wildcard probe (which interns the parent name) only runs in a layer
+    /// that holds wildcard certificates at all.
+    fn local_matches(&self, domain: &DomainName) -> (&[CertificateId], &[CertificateId]) {
+        let exact = self.by_domain.get(domain).map_or(&[][..], Vec::as_slice);
+        if self.by_wildcard_zone.is_empty() {
+            return (exact, &[]);
+        }
+        let wildcard = domain
+            .parent()
+            .and_then(|parent| self.by_wildcard_zone.get(&parent))
+            .map_or(&[][..], Vec::as_slice);
+        (exact, wildcard)
     }
 
     /// The certificate a server presents for SNI name `domain`, if any.
@@ -171,21 +185,15 @@ impl CertificateStore {
     /// The shared handle for the certificate a server presents for SNI name
     /// `domain`, if any — the allocation-free form the visit hot path uses.
     pub fn select_arc_for_sni(&self, domain: &DomainName) -> Option<&Arc<Certificate>> {
-        // Newest (highest-id) match wins; local ids are always newer than
-        // base ids, so check the local indexes before the base.
-        let mut best: Option<CertificateId> = None;
-        if let Some(exact) = self.by_domain.get(domain) {
-            best = exact.iter().copied().max();
-        }
-        if let Some(parent) = domain.parent() {
-            if let Some(wc) = self.by_wildcard_zone.get(&parent) {
-                best = best.into_iter().chain(wc.iter().copied()).max();
+        // Newest (highest-id) match wins; a layer's ids are always newer than
+        // its base's, so the first layer with a match holds the answer.
+        let mut layer = self;
+        loop {
+            let (exact, wildcard) = layer.local_matches(domain);
+            if let Some(id) = exact.iter().chain(wildcard).copied().max() {
+                return layer.get_arc(id);
             }
-        }
-        match (best, &self.base) {
-            (Some(id), _) => self.get_arc(id),
-            (None, Some(base)) => base.select_arc_for_sni(domain),
-            (None, None) => None,
+            layer = layer.base.as_deref()?;
         }
     }
 
@@ -302,6 +310,68 @@ mod tests {
             stats[&Issuer::google_trust_services()],
             IssuerStats { certificates: 1, unique_domains: 2 }
         );
+    }
+
+    #[test]
+    fn layered_selection_prefers_the_newest_layer() {
+        let mut bottom = CertificateStore::new();
+        let misc = bottom.issue(Issuer::amazon(), vec![SanEntry::Dns(d("cdn.misc.net"))], Instant::EPOCH);
+        let old = bottom.issue(Issuer::digicert(), vec![SanEntry::Dns(d("shared.example"))], Instant::EPOCH);
+        let mut middle = CertificateStore::with_base(Arc::new(bottom));
+        let wildcard =
+            middle.issue(Issuer::cloudflare(), vec![SanEntry::Wildcard(d("example.com"))], Instant::EPOCH);
+        let mut top = CertificateStore::with_base(Arc::new(middle));
+        let newer = top.issue(Issuer::digicert(), vec![SanEntry::Dns(d("shared.example"))], Instant::EPOCH);
+        assert_eq!(top.len(), 4);
+        assert_eq!(top.select_for_sni(&d("cdn.misc.net")).unwrap().id, misc);
+        assert_eq!(top.select_for_sni(&d("img.example.com")).unwrap().id, wildcard);
+        assert_eq!(top.select_for_sni(&d("shared.example")).unwrap().id, newer);
+        let ids: Vec<CertificateId> =
+            top.certificates_for(&d("shared.example")).iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![newer, old]);
+        assert!(top.select_for_sni(&d("example.com")).is_none());
+    }
+
+    /// The keys of a serialized name index, in serialized order.
+    fn index_keys(store: &CertificateStore, field: &str) -> Vec<String> {
+        let value = store.serialize_value();
+        let index = serde::value::object_get(value.as_object().unwrap(), field).as_array().unwrap();
+        index.iter().map(|pair| pair.as_array().unwrap()[0].as_str().unwrap().to_string()).collect()
+    }
+
+    #[test]
+    fn indexes_serialize_in_textual_order() {
+        // Intern in reverse textual order, so intern-id (hash) order and
+        // textual order disagree, then issue in a shuffled third order.
+        let names: Vec<String> = (0..48).map(|i| format!("serde-{i:02}.example")).collect();
+        for name in names.iter().rev() {
+            d(name);
+        }
+        let shuffled: Vec<&String> = names.iter().step_by(2).chain(names.iter().skip(1).step_by(2)).collect();
+        let issue_all = |order: &[&String]| {
+            let mut store = CertificateStore::new();
+            let san = order.iter().map(|name| SanEntry::Dns(d(name))).collect();
+            store.issue(Issuer::lets_encrypt(), san, Instant::EPOCH);
+            for name in order.iter().take(8) {
+                store.issue(Issuer::cloudflare(), vec![SanEntry::Wildcard(d(name))], Instant::EPOCH);
+            }
+            store
+        };
+        let forward = issue_all(&names.iter().collect::<Vec<_>>());
+        let keys = index_keys(&forward, "by_domain");
+        assert_eq!(keys, names);
+        let wildcard_keys = index_keys(&issue_all(&shuffled), "by_wildcard_zone");
+        let mut sorted = wildcard_keys.clone();
+        sorted.sort();
+        assert_eq!(wildcard_keys, sorted);
+        // Same certificates, SAN lists in another order: the indexes (which
+        // only record names and ids) serialize byte-identically.
+        let reordered = issue_all(&shuffled);
+        assert_eq!(index_keys(&reordered, "by_domain"), names);
+        let by_domain = |store: &CertificateStore| {
+            serde::value::object_get(store.serialize_value().as_object().unwrap(), "by_domain").clone()
+        };
+        assert_eq!(by_domain(&forward), by_domain(&reordered));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! compiled to nothing by default.
 
 pub mod domain;
+pub mod domain_map;
 pub mod fingerprint;
 pub mod hash;
 pub mod id;
@@ -29,6 +30,7 @@ pub mod rng;
 pub mod time;
 
 pub use domain::{DomainError, DomainName};
+pub use domain_map::DomainMap;
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use hash::{fnv1a, FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use id::{ConnectionId, IdAllocator, PageId, RequestId, SiteId};

@@ -34,7 +34,7 @@ pub mod resources;
 pub mod services;
 pub mod site;
 
-pub use deployment::{DeploymentCache, SharedDeployment};
+pub use deployment::{DeploymentCache, DeploymentLayers, MiscPool, SharedDeployment};
 pub use environment::WebEnvironment;
 pub use population::PopulationBuilder;
 pub use profiles::PopulationProfile;

@@ -11,7 +11,6 @@ use netsim_dns::{Authority, LoadBalancePolicy, ZoneEntry};
 use netsim_fetch::RequestDestination;
 use netsim_tls::{CertificateStore, IssuancePolicy, Issuer, IssuerCatalog};
 use netsim_types::{DomainName, Duration, Instant, IpAddr, Mitigation, MitigationSet, SimRng, SiteId};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Subdomain labels used for first-party shards.
@@ -66,7 +65,6 @@ pub struct PopulationBuilder {
     tld_weights: Vec<f64>,
     resource_kind_weights: Vec<f64>,
     issuer_weights: Vec<f64>,
-    major_as_weights: Vec<f64>,
 }
 
 impl PopulationBuilder {
@@ -86,16 +84,16 @@ impl PopulationBuilder {
             tld_weights: TLDS.iter().map(|(_, w)| *w).collect(),
             resource_kind_weights: OWN_RESOURCE_KINDS.iter().map(|(_, _, w)| *w).collect(),
             issuer_weights: issuers.weights(),
-            major_as_weights: as_catalog.major_weights(),
             as_catalog,
             issuers,
         }
     }
 
     /// Layer the population on a memoized [`SharedDeployment`] instead of
-    /// re-issuing the service catalog: the environment's authority,
-    /// certificate store and AS registry start as views over the shared
-    /// deployment, and only per-site state is generated locally. The
+    /// re-issuing the misc third-party pool and the service catalog: the
+    /// environment's authority, certificate store and AS registry start as
+    /// views over the deployment's layers for this builder's seed and misc
+    /// pool size, and only per-site state is generated locally. The
     /// deployment must have been issued for this builder's mitigation set
     /// (checked) — use [`crate::DeploymentCache`] to obtain one.
     pub fn with_shared_deployment(mut self, deployment: Arc<SharedDeployment>) -> Self {
@@ -149,35 +147,53 @@ impl PopulationBuilder {
         &self.profile
     }
 
-    /// Generate the population.
+    /// The misc third-party pool every site draws from: large enough for
+    /// both the base and the Zipf head profile.
+    fn misc_pool_size(&self) -> usize {
+        let head = self.zipf_head.as_ref().map_or(0, |(head, _)| head.misc_third_party_pool);
+        self.profile.misc_third_party_pool.max(head)
+    }
+
+    /// Generate the population. The misc third-party pool is installed
+    /// first and whole, then the service catalog, then the sites — the
+    /// order a [`SharedDeployment`] layers them in, so layered and
+    /// monolithic builds assign the same prefixes and certificate ids.
     pub fn build(&self) -> WebEnvironment {
         let root = SimRng::new(self.seed);
-        let mut misc_installed: BTreeSet<usize> = BTreeSet::new();
-        let mitigated_catalog;
-        let (mut env, catalog): (WebEnvironment, &ServiceCatalog) = match &self.deployment {
-            // Layered build: the shared deployment already carries the
-            // catalog's zones/certificates/prefixes; start the environment
-            // as views over it and only generate per-site state.
+        let pool_size = self.misc_pool_size();
+        let (layers, mitigated_catalog, flat_misc_domains);
+        let (mut env, catalog, misc_domains) = match &self.deployment {
+            // Layered build: the deployment already carries the misc
+            // pool and the catalog; start the environment as views over
+            // them and only generate per-site state.
             Some(deployment) => {
                 assert_eq!(
                     deployment.mitigations, self.mitigations,
                     "shared deployment was issued under different mitigations"
                 );
+                layers = deployment.layers(self.seed, pool_size);
                 let env = WebEnvironment {
-                    authority: Authority::with_base(Arc::clone(&deployment.authority)),
-                    certificates: CertificateStore::with_base(Arc::clone(&deployment.certificates)),
-                    registry: AsRegistry::with_base(Arc::clone(&deployment.registry)),
+                    authority: Authority::with_base(Arc::clone(&layers.authority)),
+                    certificates: CertificateStore::with_base(Arc::clone(&layers.certificates)),
+                    registry: AsRegistry::with_base(Arc::clone(&layers.registry)),
                     sites: Vec::new(),
                 };
-                (env, &deployment.catalog)
+                (env, &deployment.catalog, layers.misc.domains())
             }
             None => {
                 mitigated_catalog = self.catalog.with_mitigations(self.mitigations);
                 let mut env = WebEnvironment::default();
+                flat_misc_domains = install_misc_pool(
+                    &mut env.authority,
+                    &mut env.certificates,
+                    &mut env.registry,
+                    self.seed,
+                    pool_size,
+                );
                 for service in mitigated_catalog.services() {
                     install_service(&mut env.authority, &mut env.certificates, &mut env.registry, service);
                 }
-                (env, &mitigated_catalog)
+                (env, &mitigated_catalog, flat_misc_domains.as_slice())
             }
         };
 
@@ -189,8 +205,7 @@ impl PopulationBuilder {
         for local in 0..self.site_count {
             let index = self.site_offset + local;
             let mut rng = root.fork_indexed("site", index as u64);
-            let site =
-                self.generate_site(&mut env, catalog, &caches, &root, &mut misc_installed, index, &mut rng);
+            let site = self.generate_site(&mut env, catalog, &caches, misc_domains, index, &mut rng);
             env.sites.push(site);
         }
         env
@@ -207,8 +222,7 @@ impl PopulationBuilder {
         env: &mut WebEnvironment,
         catalog: &ServiceCatalog,
         caches: &GenCaches,
-        root: &SimRng,
-        misc_installed: &mut BTreeSet<usize>,
+        misc_domains: &[DomainName],
         index: usize,
         rng: &mut SimRng,
     ) -> Website {
@@ -333,11 +347,7 @@ impl PopulationBuilder {
         let (misc_low, misc_high) = profile.misc_third_party_range;
         let misc_count = rng.in_range(misc_low..=misc_high);
         for _ in 0..misc_count {
-            let pool_index = rng.in_range(0..profile.misc_third_party_pool);
-            let misc_domain = misc_domain_for(pool_index);
-            if misc_installed.insert(pool_index) {
-                self.install_misc_third_party(env, root, pool_index, &misc_domain);
-            }
+            let misc_domain = misc_domains[rng.in_range(0..profile.misc_third_party_pool)];
             let destination =
                 if rng.chance(0.6) { RequestDestination::Script } else { RequestDestination::Image };
             let size = rng.in_range(1_000u64..120_000);
@@ -357,33 +367,6 @@ impl PopulationBuilder {
         let tld = TLDS[rng.pick_weighted_index(&self.tld_weights).unwrap_or(0)].0;
         DomainName::parse(&format!("{}-site-{index:06}.{tld}", self.profile.name))
             .expect("generated domain is valid")
-    }
-
-    fn install_misc_third_party(
-        &self,
-        env: &mut WebEnvironment,
-        root: &SimRng,
-        pool_index: usize,
-        domain: &DomainName,
-    ) {
-        // Deterministic regardless of which site touches the domain first.
-        let mut rng = root.fork_indexed("misc-third-party", pool_index as u64);
-        let autonomous_system = if rng.chance(0.35) {
-            let pick = rng.pick_weighted_index(&self.major_as_weights).unwrap_or(0);
-            self.as_catalog.major_at(pick).clone()
-        } else {
-            self.as_catalog.generic_for(rng.in_range(0..1_000_000u32))
-        };
-        let prefix = env.registry.allocate_slash24(autonomous_system);
-        env.authority.insert_entry(*domain, ZoneEntry::single(prefix.host(20)));
-        let issuer =
-            self.issuers.issuer_at(rng.pick_weighted_index(&self.issuer_weights).unwrap_or(0)).clone();
-        env.certificates.issue_with_policy(
-            issuer,
-            &IssuancePolicy::SharedSan,
-            std::slice::from_ref(domain),
-            Instant::EPOCH,
-        );
     }
 }
 
@@ -431,14 +414,49 @@ impl GenCaches {
     }
 }
 
-/// The shared pool of unrelated third-party domains.
-fn misc_domain_for(pool_index: usize) -> DomainName {
-    DomainName::parse(&format!("cdn.thirdparty-{pool_index:04}.net")).expect("misc domain is valid")
+/// Install misc pool entries `0..size` in index order and return their
+/// domains. Entry `i` draws its AS and issuer from its own fork of the
+/// population seed, so it is the same whoever installs it.
+pub(crate) fn install_misc_pool(
+    authority: &mut Authority,
+    certificates: &mut CertificateStore,
+    registry: &mut AsRegistry,
+    seed: u64,
+    size: usize,
+) -> Vec<DomainName> {
+    let root = SimRng::new(seed);
+    let as_catalog = AsCatalog::default();
+    let major_weights = as_catalog.major_weights();
+    let issuers = IssuerCatalog::default_market();
+    let issuer_weights = issuers.weights();
+    (0..size)
+        .map(|pool_index| {
+            let domain = DomainName::parse(&format!("cdn.thirdparty-{pool_index:04}.net"))
+                .expect("misc domain is valid");
+            let mut rng = root.fork_indexed("misc-third-party", pool_index as u64);
+            let autonomous_system = if rng.chance(0.35) {
+                let pick = rng.pick_weighted_index(&major_weights).unwrap_or(0);
+                as_catalog.major_at(pick).clone()
+            } else {
+                as_catalog.generic_for(rng.in_range(0..1_000_000u32))
+            };
+            let prefix = registry.allocate_slash24(autonomous_system);
+            authority.insert_entry(domain, ZoneEntry::single(prefix.host(20)));
+            let issuer = issuers.issuer_at(rng.pick_weighted_index(&issuer_weights).unwrap_or(0)).clone();
+            certificates.issue_with_policy(
+                issuer,
+                &IssuancePolicy::SharedSan,
+                std::slice::from_ref(&domain),
+                Instant::EPOCH,
+            );
+            domain
+        })
+        .collect()
 }
 
 /// Install one third-party service: DNS entries per IP cluster, certificates
 /// per certificate group, prefixes in the AS registry. Takes the three
-/// deployment structures separately so that [`SharedDeployment::issue`] can
+/// deployment structures separately so that [`SharedDeployment::layers`] can
 /// install into standalone (environment-less) instances.
 pub(crate) fn install_service(
     authority: &mut Authority,

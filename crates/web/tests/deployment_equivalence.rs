@@ -8,10 +8,13 @@
 //! monolithic build exactly. The atlas scenario's byte-identical reports
 //! depend on precisely this equivalence.
 
-use netsim_dns::{QueryContext, ResolverId, Vantage};
-use netsim_types::{Duration, Instant, Mitigation, MitigationSet};
+use netsim_asdb::AutonomousSystem;
+use netsim_dns::{QueryContext, ResolverId, ResourceRecord, Vantage};
+use netsim_tls::Certificate;
+use netsim_types::{DomainName, Duration, Instant, Mitigation, MitigationSet};
 use netsim_web::{DeploymentCache, PopulationBuilder, PopulationProfile, WebEnvironment};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Build the same population slice both ways.
 fn both_builds(
@@ -115,6 +118,92 @@ fn chunked_layered_builds_match_one_monolithic_build() {
             .build();
         for (local, site) in chunk.sites.iter().enumerate() {
             assert_eq!(site, &whole.sites[start + local], "site {} diverges", start + local);
+        }
+    }
+}
+
+/// The (resolver, minute) points the properties above query DNS at.
+const DNS_PROBES: [(u32, u64); 4] = [(1, 0), (1, 31), (2, 7), (1000, 123)];
+
+/// Everything a browser can observe about `domain` in `env`: the DNS answer
+/// at every probe point, the SNI certificate, and the AS of each answered
+/// address.
+fn observe(
+    env: &WebEnvironment,
+    domain: &DomainName,
+) -> (Vec<Vec<ResourceRecord>>, Option<Certificate>, Vec<Option<AutonomousSystem>>) {
+    let answers: Vec<Vec<ResourceRecord>> = DNS_PROBES
+        .iter()
+        .map(|(resolver, minutes)| {
+            let ctx = QueryContext::new(
+                ResolverId(*resolver),
+                Vantage::Europe,
+                Instant::EPOCH + Duration::from_mins(*minutes),
+            );
+            env.authority.query(domain, &ctx)
+        })
+        .collect();
+    let systems = answers
+        .iter()
+        .flatten()
+        .filter_map(|record| record.data.as_a())
+        .map(|ip| env.asn_for(ip).cloned())
+        .collect();
+    (answers, env.certificate_for(domain).cloned(), systems)
+}
+
+#[test]
+fn mitigation_sets_share_one_misc_layer() {
+    let cache = DeploymentCache::standard();
+    let (seed, sites, offset) = (31, 12, 40);
+    let profile = PopulationProfile::archive();
+    let pool = profile.misc_third_party_pool;
+    let sets = [MitigationSet::empty(), MitigationSet::all()];
+    let build = |mitigations: MitigationSet, shared: bool| {
+        let builder = PopulationBuilder::new(profile.clone(), sites, seed)
+            .with_site_offset(offset)
+            .with_mitigations(mitigations);
+        if shared {
+            builder.with_shared_deployment(cache.deployment(mitigations)).build()
+        } else {
+            builder.build()
+        }
+    };
+    let chunks: Vec<WebEnvironment> = sets.iter().map(|m| build(*m, true)).collect();
+
+    // Both deployments sit on the one misc layer the cache issued.
+    let first = cache.deployment(sets[0]).layers(seed, pool);
+    let second = cache.deployment(sets[1]).layers(seed, pool);
+    assert!(Arc::ptr_eq(&first.misc, &second.misc), "mitigation sets must share one misc layer");
+    let misc_domains = first.misc.domains();
+    assert_eq!(misc_domains.len(), pool);
+
+    // Every misc domain answers identically under both mitigation sets.
+    for domain in misc_domains {
+        let observed = observe(&chunks[0], domain);
+        assert!(
+            !observed.0[0].is_empty() && observed.1.is_some(),
+            "{domain} must resolve and have a certificate"
+        );
+        assert_eq!(
+            observed,
+            observe(&chunks[1], domain),
+            "misc domain {domain} diverges across mitigation sets"
+        );
+    }
+
+    // And each layered chunk equals the non-shared build of the same slice.
+    for (mitigations, chunk) in sets.iter().zip(&chunks) {
+        let flat = build(*mitigations, false);
+        assert_eq!(flat.sites, chunk.sites);
+        assert_eq!(flat.certificates.len(), chunk.certificates.len());
+        let planned = flat.sites.iter().flat_map(|site| site.plan.iter().map(|request| request.domain));
+        for domain in misc_domains.iter().copied().chain(planned) {
+            assert_eq!(
+                observe(&flat, &domain),
+                observe(chunk, &domain),
+                "{domain} diverges under {mitigations:?}"
+            );
         }
     }
 }
